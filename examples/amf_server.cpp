@@ -2,7 +2,6 @@
 //
 //   amf_server [--host 127.0.0.1 --port 7421 --users N --services M
 //               --seed S --ring CAP --seconds SEC --shards K
-//               --coalesce-window-us US --coalesce-max-batch B
 //               --train-interval-ms MS
 //               --wal-dir DIR --fsync os|interval|always]
 //
@@ -15,7 +14,8 @@
 // protocol (PREDICT / PREDICT_MANY / REPORT_OBS / METRICS / PING) until
 // SIGINT/SIGTERM or --seconds elapses. --port 0 binds an ephemeral port
 // (printed on stdout as "listening <host> <port>", which scripted
-// drivers parse).
+// drivers parse). Concurrent PREDICT singles are batched by event-loop
+// wake, so batch size follows load and there is no window to tune.
 //
 // With --wal-dir the service journals accepted observations; the
 // server's event loop and trainer keep the kInterval fsync window honest
@@ -164,9 +164,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig sc;
   sc.host = args.Get("host", "127.0.0.1");
   sc.port = static_cast<std::uint16_t>(args.GetInt("port", 7421));
-  sc.coalesce_window_us = args.GetDouble("coalesce-window-us", 200.0);
-  sc.coalesce_max_batch =
-      static_cast<std::size_t>(args.GetInt("coalesce-max-batch", 64));
   sc.train_interval_ms =
       static_cast<int>(args.GetInt("train-interval-ms", 20));
   serve::Server server(backend.get(), sc);

@@ -117,7 +117,7 @@ class AmfModel {
   /// Thread-compatibility: concurrent OnlineUpdate calls are safe only if
   /// (a) both entities are already registered (Ensure* grows storage and
   /// must not race) and (b) callers serialize access per user and per
-  /// service (see core::ParallelReplayTrainer's striped locks).
+  /// service (see core::OnlineTrainer's striped service locks).
   double OnlineUpdate(data::UserId u, data::ServiceId s, double raw_value);
 
   /// Predicted raw QoS value (inverse-transformed sigmoid inner product).

@@ -1,11 +1,9 @@
 // Request coalescer for the serving event loop (DESIGN.md §14).
 //
-// Single PREDICT requests arriving from many connections within a short
-// window are gathered into one batch and scored through
-// ConcurrentPredictionService::PredictQoSPairs — one shared-lock
-// acquisition and one gather pass per batch instead of one per request.
-// Under concurrency this turns N lock acquisitions + N row walks into 1,
-// which is where the serving tier's throughput headroom comes from; the
+// Single PREDICT requests that arrive in the same event-loop wake —
+// from one pipelining connection or from many — are gathered into one
+// batch and scored through PredictQoSPairs: one shared-lock acquisition
+// and one gather pass per batch instead of one per request. The
 // coalescer test proves every batched result is bit-identical (at fp64)
 // to the per-request PredictQoS it replaces, so batching is purely a
 // scheduling decision, never an accuracy one.
@@ -13,13 +11,11 @@
 // Threading: owned and driven by the event-loop thread only. Nothing
 // here is locked; do not share an instance across threads.
 //
-// Flush policy (whichever comes first):
-//   - the batch reaches `max_batch` entries (Add() returns true and the
-//     loop flushes immediately), or
-//   - the oldest pending request has waited `window_us` (the loop's
-//     epoll timeout is clamped to the due time, so a lone request waits
-//     at most ~window + one timer granularity, never a full tick).
-// An empty coalescer imposes no latency and no epoll-timeout clamp.
+// Flush policy ("natural batching", no timer): the loop flushes every
+// non-empty coalescer once at the end of each epoll wake, and
+// immediately when a batch reaches kMaxCoalescedBatch (Add() returns
+// true). A lone request therefore waits for nothing but the rest of its
+// own wake; under load, batches grow with the work each wake finds.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +26,10 @@
 
 namespace amf::serve {
 
-struct CoalescerConfig {
-  /// Max time a pending request may wait for batch-mates, microseconds.
-  /// 0 degenerates to per-request dispatch (flush after every Add).
-  double window_us = 200.0;
-  /// Flush as soon as this many requests are pending.
-  std::size_t max_batch = 64;
-};
+/// A batch is flushed as soon as it holds this many requests. Bounds one
+/// wake's batch and puts a pipelining peer's responses into its write
+/// buffer mid-parse, where the backpressure ladder can see them.
+inline constexpr std::size_t kMaxCoalescedBatch = 64;
 
 /// One queued single-prediction request, tagged with enough identity to
 /// route its answer back to the issuing connection.
@@ -50,36 +43,17 @@ struct PendingPredict {
 
 class Coalescer {
  public:
-  explicit Coalescer(const CoalescerConfig& config) : config_(config) {
-    pending_.reserve(config.max_batch);
-  }
+  Coalescer() { pending_.reserve(kMaxCoalescedBatch); }
 
-  /// Queues one request. Returns true when the batch hit max_batch (or
-  /// window_us == 0) and must be flushed now.
+  /// Queues one request. Returns true when the batch hit
+  /// kMaxCoalescedBatch and must be flushed now.
   bool Add(const PendingPredict& req) {
     pending_.push_back(req);
-    return pending_.size() >= config_.max_batch || config_.window_us <= 0.0;
+    return pending_.size() >= kMaxCoalescedBatch;
   }
 
   bool empty() const { return pending_.empty(); }
   std::size_t size() const { return pending_.size(); }
-
-  /// Monotonic enqueue time of the oldest pending request (call only when
-  /// non-empty). Requests are appended in arrival order, so this is
-  /// pending_.front().
-  double oldest_enqueue_s() const { return pending_.front().enqueued_monotonic_s; }
-
-  /// True when the oldest pending request has aged past the window.
-  bool Due(double now_s) const {
-    return !pending_.empty() &&
-           (now_s - oldest_enqueue_s()) * 1e6 >= config_.window_us;
-  }
-
-  /// Seconds until the oldest request comes due; call only when
-  /// non-empty. <= 0 means due now.
-  double SecondsUntilDue(double now_s) const {
-    return config_.window_us * 1e-6 - (now_s - oldest_enqueue_s());
-  }
 
   /// Scores every pending request in ONE PredictQoSPairs call and hands
   /// each (request, value) to `emit` in arrival order; NaN marks an
@@ -108,10 +82,7 @@ class Coalescer {
     return n;
   }
 
-  const CoalescerConfig& config() const { return config_; }
-
  private:
-  CoalescerConfig config_;
   std::vector<PendingPredict> pending_;
   // Flush scratch, reused across batches (no per-flush allocation in
   // steady state).

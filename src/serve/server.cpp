@@ -37,20 +37,12 @@ double MonotonicSeconds() {
 
 Server::Server(adapt::ConcurrentPredictionService* service,
                const ServerConfig& config)
-    : owned_backend_(std::make_unique<ConcurrentBackend>(service)),
-      backend_(owned_backend_.get()),
-      config_(config) {
-  coalescers_.assign(backend_->shard_count(),
-                     Coalescer(CoalescerConfig{config.coalesce_window_us,
-                                               config.coalesce_max_batch}));
-  RegisterMetrics();
+    : Server(new ConcurrentBackend(service), config) {
+  owned_backend_.reset(backend_);
 }
 
 Server::Server(Backend* backend, const ServerConfig& config)
-    : backend_(backend), config_(config) {
-  coalescers_.assign(backend_->shard_count(),
-                     Coalescer(CoalescerConfig{config.coalesce_window_us,
-                                               config.coalesce_max_batch}));
+    : backend_(backend), config_(config), coalescers_(backend->shard_count()) {
   RegisterMetrics();
 }
 
@@ -67,7 +59,6 @@ void Server::RegisterMetrics() {
   coalesce_requests_ = reg.GetCounter("serve.coalesce.requests");
   coalesce_flushes_ = reg.GetCounter("serve.coalesce.flushes");
   connections_gauge_ = reg.GetGauge("serve.connections");
-  queue_depth_ = reg.GetGauge("serve.queue_depth");
   paused_gauge_ = reg.GetGauge("serve.paused_connections");
   // Request latency from frame arrival (enqueue, for coalesced PREDICTs)
   // to response bytes encoded. Sub-millisecond territory: widen the low
@@ -204,34 +195,12 @@ void Server::TrainerThread() {
   backend_->FlushJournal();
 }
 
-int Server::NextTimeoutMs(double now_s) const {
-  int timeout = config_.tick_interval_ms;
-  for (const Coalescer& co : coalescers_) {
-    if (co.empty()) continue;
-    const double due_s = co.SecondsUntilDue(now_s);
-    // epoll timeouts are milliseconds; a sub-ms window rounds up to 1ms
-    // (documented granularity) rather than busy-spinning at timeout 0.
-    const int due_ms = due_s <= 0.0
-                           ? 0
-                           : static_cast<int>(std::ceil(due_s * 1e3));
-    if (due_ms < timeout) timeout = due_ms;
-  }
-  return timeout;
-}
-
-std::size_t Server::TotalQueueDepth() const {
-  std::size_t total = 0;
-  for (const Coalescer& co : coalescers_) total += co.size();
-  return total;
-}
-
 void Server::LoopThread() {
   std::vector<epoll_event> events(128);
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    const int timeout = NextTimeoutMs(MonotonicSeconds());
     const int n =
         ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
-                     timeout);
+                     config_.tick_interval_ms);
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
       const std::uint64_t tag = events[i].data.u64;
@@ -259,9 +228,6 @@ void Server::LoopThread() {
       }
       if (!alive) CloseConnection(tag);
     }
-    // Housekeeping: flush a due batch, keep acked observations inside the
-    // WAL fsync window even when the trainer is idle, refresh gauges.
-    FlushDueCoalescers(MonotonicSeconds(), /*force=*/false);
     // Revisit connections whose read buffers still hold complete frames.
     // A mid-parse backpressure break leaves them there, and level-
     // triggered EPOLLIN only fires for NEW socket bytes — without this
@@ -278,8 +244,13 @@ void Server::LoopThread() {
         if (!ProcessBuffered(it->second)) CloseConnection(id);
       }
     }
+    // Natural batching: answer every PREDICT this wake read — including
+    // those the pass above parsed — with one PredictQoSPairs call per
+    // shard, so batch size follows load.
+    FlushCoalescers();
+    // Keep acked observations inside the WAL fsync window even when the
+    // trainer is idle.
     backend_->SyncJournalIfDue();
-    queue_depth_->Set(static_cast<double>(TotalQueueDepth()));
   }
 
   // --- Ordered graceful drain (runs on the loop thread) ---
@@ -289,9 +260,9 @@ void Server::LoopThread() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  // 2. Every request already read gets its answer.
-  FlushDueCoalescers(MonotonicSeconds(), /*force=*/true);
-  // 3. Drain write buffers under the deadline.
+  // Every request already read was answered by the wake that read it
+  // (FlushCoalescers ends each iteration), so nothing is parked here.
+  // 2. Drain write buffers under the deadline.
   const double deadline =
       MonotonicSeconds() + config_.drain_deadline_ms * 1e-3;
   for (;;) {
@@ -310,7 +281,7 @@ void Server::LoopThread() {
                                static_cast<int>(events.size()), 10);
     (void)n;  // next pass retries every connection; events only pace us
   }
-  // 4. Close everything.
+  // 3. Close everything.
   while (!conns_.empty()) CloseConnection(conns_.begin()->first);
 }
 
@@ -535,12 +506,8 @@ bool Server::HandleFrame(Connection& c, const Frame& frame) {
   return true;
 }
 
-void Server::FlushDueCoalescers(double now_s, bool force) {
-  for (std::size_t s = 0; s < coalescers_.size(); ++s) {
-    if (force ? !coalescers_[s].empty() : coalescers_[s].Due(now_s)) {
-      FlushCoalescer(s);
-    }
-  }
+void Server::FlushCoalescers() {
+  for (std::size_t s = 0; s < coalescers_.size(); ++s) FlushCoalescer(s);
 }
 
 void Server::SendErrorAndNote(Connection& c, Opcode opcode,

@@ -7,9 +7,9 @@
 // the prediction hot path stays wait-free end to end:
 //
 //   PREDICT       -> routed to its user's home shard, then that shard's
-//                    request coalescer (serve/coalescer.h): concurrent
-//                    singles within a window/batch-cap are scored by ONE
-//                    shard-local PredictQoSPairs call (seqlock reads, one
+//                    request coalescer (serve/coalescer.h): the singles
+//                    one loop wake reads are scored by ONE shard-local
+//                    PredictQoSPairs call per shard (seqlock reads, one
 //                    shared lock), bit-identical to per-request
 //                    PredictQoS.
 //   PREDICT_MANY  -> PredictQoSMany immediately (already a batch).
@@ -29,11 +29,12 @@
 // without any external driver.
 //
 // Graceful shutdown (Shutdown() or destructor) drains, in order:
-//   1. stop accepting (close the listen socket),
-//   2. flush the coalescer — every request already read gets an answer,
-//   3. drain connection write buffers under drain_deadline_ms,
-//   4. close all connections and exit the loop thread,
-//   5. stop the trainer thread: its final Tick drains the ingest ring
+//   1. stop accepting (close the listen socket); every request already
+//      read was answered by the wake that read it, so no coalescer holds
+//      a request at this point,
+//   2. drain connection write buffers under drain_deadline_ms,
+//   3. close all connections and exit the loop thread,
+//   4. stop the trainer thread: its final Tick drains the ingest ring
 //      (journal-before-ack for everything accepted), then FlushJournal
 //      fsyncs the WAL tail. Only then does Shutdown return — observations
 //      the server acked are on disk when the process exits.
@@ -69,13 +70,9 @@ struct ServerConfig {
   std::size_t write_pause_bytes = 256 * 1024;
   std::size_t write_drop_bytes = 4 * 1024 * 1024;
 
-  /// PREDICT coalescing window / batch cap (see coalescer.h).
-  double coalesce_window_us = 200.0;
-  std::size_t coalesce_max_batch = 64;
-
-  /// Event-loop housekeeping cadence (journal SyncIfDue, queue-depth
-  /// gauge refresh) when the loop is otherwise idle, and the built-in
-  /// trainer thread's Tick period.
+  /// Event-loop housekeeping cadence (journal SyncIfDue) when the loop is
+  /// otherwise idle — the epoll timeout — and the built-in trainer
+  /// thread's Tick period.
   int tick_interval_ms = 5;
   int train_interval_ms = 20;
   /// Run the built-in trainer thread. Off for tests that drive Tick
@@ -100,7 +97,7 @@ struct ServerConfig {
 class Server {
  public:
   /// Single-instance convenience: wraps the service in an owned
-  /// ConcurrentBackend (PR 9 behaviour, one coalescer).
+  /// ConcurrentBackend (one coalescer).
   Server(adapt::ConcurrentPredictionService* service,
          const ServerConfig& config);
   Server(Backend* backend, const ServerConfig& config);
@@ -150,21 +147,17 @@ class Server {
   bool ApplyBackpressure(Connection& c);
   /// Flushes one shard's coalescer batch into its home shard.
   void FlushCoalescer(std::size_t shard);
-  /// Flushes every coalescer whose oldest request is past the window
-  /// (all of them when `force`).
-  void FlushDueCoalescers(double now_s, bool force);
+  /// Flushes every non-empty coalescer (once per loop wake).
+  void FlushCoalescers();
   /// Appends a kError frame for a rejected request and pushes it out
   /// best-effort (the connection closes right after).
   void SendErrorAndNote(Connection& c, Opcode opcode,
                         std::uint64_t request_id);
   void CloseConnection(std::uint64_t id);
   void UpdateEpoll(Connection& c);
-  /// Epoll timeout: min(tick interval, earliest coalescer due time).
-  int NextTimeoutMs(double now_s) const;
   void RegisterMetrics();
-  std::size_t TotalQueueDepth() const;
 
-  std::unique_ptr<ConcurrentBackend> owned_backend_;  // single-service ctor
+  std::unique_ptr<Backend> owned_backend_;  // single-service ctor
   Backend* backend_;
   ServerConfig config_;
 
@@ -205,7 +198,6 @@ class Server {
   obs::Counter* coalesce_requests_ = nullptr;
   obs::Counter* coalesce_flushes_ = nullptr;
   obs::Gauge* connections_gauge_ = nullptr;
-  obs::Gauge* queue_depth_ = nullptr;
   obs::Gauge* paused_gauge_ = nullptr;
   obs::LatencyHistogram* request_hist_ = nullptr;
   obs::LatencyHistogram* batch_size_hist_ = nullptr;

@@ -2,9 +2,8 @@
 // pure scheduling decision — every value PredictQoSPairs returns for a
 // coalesced batch must be bit-identical at fp64 to what the per-request
 // PredictQoS would have returned, so clients cannot observe whether
-// their request was batched. Also covers the flush-policy triggers
-// (max_batch cap, window aging, window==0 degradation) and unknown-id
-// NaN routing.
+// their request was batched. Also covers the batch-cap flush signal,
+// the empty flush and unknown-id NaN routing.
 #include "serve/coalescer.h"
 
 #include <gtest/gtest.h>
@@ -57,8 +56,10 @@ TEST(ServeCoalescerTest, BatchedValuesBitIdenticalToPerRequestPredict) {
   const auto service = MakeTrainedService();
 
   // Build a batch covering every (user, service) pair once, interleaved
-  // the way concurrent connections would interleave them.
-  Coalescer coalescer(CoalescerConfig{.window_us = 1e6, .max_batch = 1 << 20});
+  // the way concurrent connections would interleave them. Add's
+  // flush-at-cap signal is ignored on purpose: Flush scores whatever is
+  // pending in one call, so one oversized batch covers every pair.
+  Coalescer coalescer;
   std::vector<PendingPredict> batch;
   for (std::size_t u = 0; u < kUsers; ++u) {
     for (std::size_t s = 0; s < kServices; ++s) {
@@ -94,7 +95,7 @@ TEST(ServeCoalescerTest, BatchedValuesBitIdenticalToPerRequestPredict) {
 
 TEST(ServeCoalescerTest, UnknownEntitiesEmitNaN) {
   const auto service = MakeTrainedService();
-  Coalescer coalescer(CoalescerConfig{.window_us = 1e6, .max_batch = 64});
+  Coalescer coalescer;
   coalescer.Add(PendingPredict{.conn_id = 1, .request_id = 1, .user = 0,
                                .service = 0});
   coalescer.Add(PendingPredict{.conn_id = 1, .request_id = 2,
@@ -112,42 +113,17 @@ TEST(ServeCoalescerTest, UnknownEntitiesEmitNaN) {
 }
 
 TEST(ServeCoalescerTest, AddSignalsFlushAtBatchCap) {
-  Coalescer coalescer(CoalescerConfig{.window_us = 1e6, .max_batch = 3});
-  EXPECT_FALSE(coalescer.Add(PendingPredict{.request_id = 1}));
-  EXPECT_FALSE(coalescer.Add(PendingPredict{.request_id = 2}));
-  EXPECT_TRUE(coalescer.Add(PendingPredict{.request_id = 3}));
-  EXPECT_EQ(coalescer.size(), 3u);
-}
-
-TEST(ServeCoalescerTest, ZeroWindowDegeneratesToPerRequestDispatch) {
-  Coalescer coalescer(CoalescerConfig{.window_us = 0.0, .max_batch = 64});
-  EXPECT_TRUE(coalescer.Add(PendingPredict{.request_id = 1}));
-}
-
-TEST(ServeCoalescerTest, DueTracksTheOldestPendingRequest) {
-  Coalescer coalescer(CoalescerConfig{.window_us = 500.0, .max_batch = 64});
-  EXPECT_FALSE(coalescer.Due(100.0));  // empty: never due
-
-  PendingPredict first;
-  first.enqueued_monotonic_s = 100.0;
-  coalescer.Add(first);
-  EXPECT_FALSE(coalescer.Due(100.0));
-  EXPECT_FALSE(coalescer.Due(100.0 + 400e-6));
-  EXPECT_TRUE(coalescer.Due(100.0 + 500e-6));
-
-  // A younger arrival must NOT push the deadline out.
-  PendingPredict second;
-  second.enqueued_monotonic_s = 100.0 + 450e-6;
-  coalescer.Add(second);
-  EXPECT_TRUE(coalescer.Due(100.0 + 500e-6));
-  EXPECT_DOUBLE_EQ(coalescer.oldest_enqueue_s(), 100.0);
-  EXPECT_NEAR(coalescer.SecondsUntilDue(100.0 + 300e-6), 200e-6, 1e-12);
-  EXPECT_LE(coalescer.SecondsUntilDue(100.0 + 600e-6), 0.0);
+  Coalescer coalescer;
+  for (std::uint64_t id = 1; id < kMaxCoalescedBatch; ++id) {
+    EXPECT_FALSE(coalescer.Add(PendingPredict{.request_id = id})) << id;
+  }
+  EXPECT_TRUE(coalescer.Add(PendingPredict{.request_id = kMaxCoalescedBatch}));
+  EXPECT_EQ(coalescer.size(), kMaxCoalescedBatch);
 }
 
 TEST(ServeCoalescerTest, FlushOnEmptyIsANoOp) {
   const auto service = MakeTrainedService();
-  Coalescer coalescer(CoalescerConfig{});
+  Coalescer coalescer;
   bool emitted = false;
   EXPECT_EQ(coalescer.Flush(*service,
                             [&](const PendingPredict&, double) {

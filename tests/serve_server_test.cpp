@@ -1,12 +1,13 @@
 // End-to-end tests for the epoll serving front-end (serve/server.h):
 // every opcode over a real loopback socket, coalescing observable in the
-// server-side counters, malformed frames closing the connection (with
+// server-side counters, a lone request answered without a timer wait,
+// malformed frames closing the connection (with
 // one terminal kError frame when the fixed header was parseable, a
 // silent close for unframeable garbage, never UB), the PING wire-marker
 // handshake, EINTR immunity under a directed signal storm, the
 // slow-reader backpressure ladder's drop rung, and the graceful-shutdown
-// contract — coalesced requests are answered and journaled observations
-// are flushed before exit.
+// contract — requests already read are answered and journaled
+// observations are flushed before exit.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <pthread.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -135,8 +137,6 @@ TEST(ServeServerTest, PipelinedPredictsCoalesceIntoFewerFlushes) {
   const auto service = MakeTrainedService();
   ServerConfig cfg;
   cfg.run_trainer = false;
-  cfg.coalesce_window_us = 50'000.0;  // generous: one socket burst = batches
-  cfg.coalesce_max_batch = 8;
   Server server(service.get(), cfg);
   ASSERT_TRUE(server.Start()) << server.last_error();
 
@@ -144,8 +144,8 @@ TEST(ServeServerTest, PipelinedPredictsCoalesceIntoFewerFlushes) {
   ASSERT_TRUE(client.ConnectWithRetry("127.0.0.1", server.port()));
 
   // One write carrying 32 pipelined PREDICTs: the server's read loop
-  // ingests them together, so with cap 8 they flush as batches, not as
-  // 32 singles.
+  // ingests them together, so the wake that reads them flushes them as
+  // batches, not as 32 singles.
   constexpr std::uint64_t kCount = 32;
   std::string burst;
   for (std::uint64_t id = 1; id <= kCount; ++id) {
@@ -197,6 +197,43 @@ TEST(ServeServerTest, PipelinedPredictsCoalesceIntoFewerFlushes) {
   EXPECT_GE(flushes, 1.0);
   EXPECT_LT(flushes, coalesced);  // ratio > 1: batching actually happened
 
+  server.Shutdown();
+}
+
+TEST(ServeServerTest, LonePredictIsAnsweredWithoutWaitingOnATimer) {
+  // A single outstanding PREDICT must be answered by the loop wake that
+  // read it. A long housekeeping tick makes any timer-driven flush show
+  // up as a whole-millisecond round trip (a batching window rounded up
+  // to epoll's 1 ms granularity, or the tick itself).
+  const auto service = MakeTrainedService();
+  ServerConfig cfg;
+  cfg.run_trainer = false;
+  cfg.tick_interval_ms = 1000;
+  Server server(service.get(), cfg);
+  ASSERT_TRUE(server.Start()) << server.last_error();
+
+  Client client;
+  ASSERT_TRUE(client.ConnectWithRetry("127.0.0.1", server.port()));
+  ASSERT_TRUE(client.Predict(0, 0).has_value());  // warm the connection
+
+  constexpr int kRequests = 101;
+  std::vector<double> rtt_ms;
+  for (int i = 0; i < kRequests; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto value =
+        client.Predict(static_cast<data::UserId>(i % kUsers),
+                       static_cast<data::ServiceId>(i % kServices));
+    const auto t1 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(value.has_value()) << i;
+    rtt_ms.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
+  std::nth_element(rtt_ms.begin(), rtt_ms.begin() + kRequests / 2,
+                   rtt_ms.end());
+  EXPECT_LT(rtt_ms[kRequests / 2], 0.5) << "median round trip, ms";
+  // Every lone request was its own batch.
+  EXPECT_EQ(Counter(*service, "serve.coalesce.flushes"),
+            Counter(*service, "serve.coalesce.requests"));
   server.Shutdown();
 }
 
@@ -318,8 +355,17 @@ TEST(ServeServerTest, SlowReaderIsDroppedNotBufferedForever) {
   (void)client.SendRaw(req);
 
   // The server must hang up on us (the drop rung), not stall or grow.
-  EXPECT_TRUE(client.WaitForClose(10.0));
+  // Wait for the drop before calling WaitForClose: that call reads and
+  // discards responses, and a server slower than this client (a
+  // sanitizer build, a loaded host) would then never see a backlog.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (Counter(*service, "serve.slow_reader_drops") < 1.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   EXPECT_GE(Counter(*service, "serve.slow_reader_drops"), 1.0);
+  EXPECT_TRUE(client.WaitForClose(10.0));
 
   server.Shutdown();
 }
@@ -328,10 +374,6 @@ TEST(ServeServerTest, ShutdownAnswersCoalescedRequestsBeforeClosing) {
   const auto service = MakeTrainedService();
   ServerConfig cfg;
   cfg.run_trainer = false;
-  // A window so long it cannot elapse on its own: only the shutdown
-  // drain's forced flush can answer these requests.
-  cfg.coalesce_window_us = 10e6;
-  cfg.coalesce_max_batch = 1024;
   Server server(service.get(), cfg);
   ASSERT_TRUE(server.Start()) << server.last_error();
 
@@ -343,8 +385,9 @@ TEST(ServeServerTest, ShutdownAnswersCoalescedRequestsBeforeClosing) {
     AppendPredictRequest(burst, id, 1, static_cast<data::ServiceId>(id));
   }
   ASSERT_TRUE(client.SendRaw(burst));
-  // Give the event loop a moment to read the requests into the
-  // coalescer before we pull the plug.
+  // Give the event loop a moment to read the requests before we pull
+  // the plug: every request it read must be answered, and the answers
+  // delivered, before the drain closes the connection.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
   std::thread shutdown_thread([&] { server.Shutdown(); });
