@@ -85,10 +85,10 @@ int main() {
     env.AddOutage({0, 10 * 900.0, 25 * 900.0});
     adapt::QoSPredictionService service;
     for (std::size_t u = 0; u < 20; ++u) {
-      service.RegisterUser("u" + std::to_string(u));
+      service.RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (std::size_t s = 0; s < adapt_dataset.num_services(); ++s) {
-      service.RegisterService("s" + std::to_string(s));
+      service.RegisterService(std::string("s").append(std::to_string(s)));
     }
     adapt::PredictedBestPolicy reactive(service);
     forecast::HoltLinear holt(0.5, 0.3);  // trend-extrapolating

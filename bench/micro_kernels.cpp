@@ -1,6 +1,6 @@
 // Ablation A3: micro benchmarks (google-benchmark) for the hot paths —
-// one online SGD update, one prediction, the data transformation, the
-// sample-store operations, and dense-slice generation.
+// one online SGD update, one replay epoch, one prediction, the data
+// transformation, the sample-store operations, and dense-slice generation.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -8,6 +8,7 @@
 #include "common/aligned.h"
 #include "common/bf16.h"
 #include "core/amf_model.h"
+#include "core/online_trainer.h"
 #include "core/sample_store.h"
 #include "data/synthetic.h"
 #include "linalg/kernels.h"
@@ -36,6 +37,34 @@ void BM_OnlineUpdate(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_OnlineUpdate)->Arg(10)->Arg(32)->Arg(128);
+
+// One serial replay epoch over a 19,200-sample store at 142 x 4,500, the
+// shape of the predict-read benchmark's warm set: the per-update cost of
+// Algorithm 1's replay loop (pick, target, gradient, publish, EMA, dirty
+// mark) with the store's memory footprint. Arg: 0 = plain updates,
+// 1 = guarded (seqlock-publishing) updates as the concurrent facade runs.
+void BM_ReplayEpoch(benchmark::State& state) {
+  constexpr std::size_t kUsers = 142, kServices = 4500, kStored = 19200;
+  core::AmfModel model(core::MakeResponseTimeConfig(1));
+  model.EnsureUser(kUsers - 1);
+  model.EnsureService(kServices - 1);
+  core::TrainerConfig tcfg;
+  tcfg.expiry_seconds = 0.0;
+  tcfg.guarded_updates = state.range(0) != 0;
+  core::OnlineTrainer trainer(model, tcfg);
+  common::Rng rng(3);
+  for (const std::size_t cell :
+       rng.SampleWithoutReplacement(kUsers * kServices, kStored)) {
+    trainer.Observe({0, static_cast<data::UserId>(cell / kServices),
+                     static_cast<data::ServiceId>(cell % kServices),
+                     rng.LogNormal(-0.5, 1.0), 0.0});
+  }
+  trainer.ProcessIncoming();
+  for (auto _ : state) benchmark::DoNotOptimize(trainer.ReplayEpoch());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trainer.store().size()));
+}
+BENCHMARK(BM_ReplayEpoch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_PredictRaw(benchmark::State& state) {
   core::AmfModel model(core::MakeResponseTimeConfig(1));

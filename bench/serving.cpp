@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
   cfg.model = core::MakeResponseTimeConfig(2014);
   adapt::ConcurrentPredictionService service(cfg, 4096);
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   {
     common::Rng rng(2014 ^ 0x5e);

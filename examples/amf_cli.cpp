@@ -338,10 +338,10 @@ int RunMetricsWorkload(const Args& args, ServiceT& service) {
   const auto services = static_cast<std::size_t>(args.GetInt("services", 128));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 2014));
   for (std::size_t u = 0; u < users; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < services; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   const std::string precision_flag =
       common::ToLower(args.Get("read-precision", "fp64"));
@@ -504,10 +504,10 @@ int CmdChaosSharded(const Args& args, std::size_t shards) {
   const auto make_service = [&] {
     auto svc = std::make_unique<adapt::ShardedPredictionService>(scfg);
     for (std::size_t u = 0; u < synth.users; ++u) {
-      svc->RegisterUser("u" + std::to_string(u));
+      svc->RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (std::size_t s = 0; s < synth.services; ++s) {
-      svc->RegisterService("s" + std::to_string(s));
+      svc->RegisterService(std::string("s").append(std::to_string(s)));
     }
     svc->EnableCheckpoints(ckpt);
     svc->EnableJournal(wal);
@@ -663,10 +663,10 @@ int CmdChaos(const Args& args) {
     if (journaled) svc->EnableJournal(wal);
     if (register_names) {
       for (std::size_t u = 0; u < synth.users; ++u) {
-        svc->RegisterUser("u" + std::to_string(u));
+        svc->RegisterUser(std::string("u").append(std::to_string(u)));
       }
       for (std::size_t s = 0; s < synth.services; ++s) {
-        svc->RegisterService("s" + std::to_string(s));
+        svc->RegisterService(std::string("s").append(std::to_string(s)));
       }
     }
     return svc;

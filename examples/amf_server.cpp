@@ -30,6 +30,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -50,15 +51,39 @@ using namespace amf;
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
+constexpr const char* kUsage =
+    "usage: amf_server [--host H] [--port P] [--users N] [--services M] "
+    "[--seed S] [--ring CAP] [--seconds SEC] [--shards K] "
+    "[--train-interval-ms MS] [--wal-dir DIR] [--fsync os|interval|always]";
+
 class Args {
  public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      AMF_CHECK_MSG(common::StartsWith(key, "--"),
-                    "expected --flag value, got " << key);
+  /// Parses `--flag value` pairs. Returns false, with the reason in
+  /// `error`, on a stray token, a flag without a value or a flag this
+  /// program does not know (a misspelt or retired flag must not silently
+  /// start a server with defaults).
+  bool Parse(int argc, char** argv, std::string* error) {
+    static const std::set<std::string> kKnown = {
+        "host",    "port",   "users",  "services",          "seed",
+        "ring",    "seconds", "shards", "train-interval-ms", "wal-dir",
+        "fsync"};
+    for (int i = 1; i < argc; i += 2) {
+      const std::string key = argv[i];
+      if (!common::StartsWith(key, "--")) {
+        *error = "expected --flag value, got " + key;
+        return false;
+      }
+      if (kKnown.count(key.substr(2)) == 0) {
+        *error = "unknown flag " + key;
+        return false;
+      }
+      if (i + 1 >= argc) {
+        *error = key + " needs a value";
+        return false;
+      }
       values_[key.substr(2)] = argv[i + 1];
     }
+    return true;
   }
   std::string Get(const std::string& key, const std::string& def) const {
     const auto it = values_.find(key);
@@ -86,7 +111,11 @@ class Args {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  Args args;
+  if (std::string error; !args.Parse(argc, argv, &error)) {
+    std::cerr << "amf_server: " << error << "\n" << kUsage << "\n";
+    return 1;
+  }
   const auto users = static_cast<std::size_t>(args.GetInt("users", 32));
   const auto services = static_cast<std::size_t>(args.GetInt("services", 128));
   const auto seed = static_cast<std::uint64_t>(args.GetInt("seed", 2014));
@@ -117,10 +146,10 @@ int main(int argc, char** argv) {
   // two facades — both expose the same member names.
   auto prepare = [&](auto& service) {
     for (std::size_t u = 0; u < users; ++u) {
-      service.RegisterUser("u" + std::to_string(u));
+      service.RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (std::size_t s = 0; s < services; ++s) {
-      service.RegisterService("s" + std::to_string(s));
+      service.RegisterService(std::string("s").append(std::to_string(s)));
     }
 
     const std::string wal_dir = args.Get("wal-dir", "");

@@ -75,10 +75,10 @@ std::unique_ptr<adapt::QoSPredictionService> MakeService(
     const std::string& dir, std::uint64_t seed) {
   auto svc = std::make_unique<adapt::QoSPredictionService>(DrillConfig(seed));
   for (std::size_t u = 0; u < kUsers; ++u) {
-    svc->RegisterUser("u" + std::to_string(u));
+    svc->RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    svc->RegisterService("s" + std::to_string(s));
+    svc->RegisterService(std::string("s").append(std::to_string(s)));
   }
   core::CheckpointManagerConfig ckpt;
   ckpt.directory = dir + "/ckpt";
@@ -210,10 +210,10 @@ int main(int argc, char** argv) {
   // Contract 2: bit-identity with an uncrashed control run.
   adapt::QoSPredictionService control(DrillConfig(seed));
   for (std::size_t u = 0; u < kUsers; ++u) {
-    control.RegisterUser("u" + std::to_string(u));
+    control.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    control.RegisterService("s" + std::to_string(s));
+    control.RegisterService(std::string("s").append(std::to_string(s)));
   }
   for (std::size_t i = 0; i < samples; ++i) {
     control.ReportObservation(Sample(i));

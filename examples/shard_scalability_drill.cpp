@@ -76,10 +76,10 @@ adapt::PredictionServiceConfig ServiceConfig() {
 template <typename ServiceT>
 void RegisterPopulation(ServiceT& svc) {
   for (std::size_t u = 0; u < kUsers; ++u) {
-    svc.RegisterUser("u" + std::to_string(u));
+    svc.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    svc.RegisterService("s" + std::to_string(s));
+    svc.RegisterService(std::string("s").append(std::to_string(s)));
   }
 }
 

@@ -7,9 +7,9 @@
 // and x86-64-v4 (AVX-512) — and lets the dynamic loader pick the widest
 // variant the host supports via an ifunc resolver, at zero per-call cost.
 //
-// Only apply this to PREDICTION-side kernels. Training kernels
-// (SgdPairStep, Dot/Axpy) intentionally stay single-version so that a
-// fixed seed replays to bit-identical factors on every machine; the
+// Only apply this to PREDICTION-side kernels. Training kernels (the
+// AmfModel update kernel, Dot/Axpy) intentionally stay single-version so
+// that a fixed seed replays to bit-identical factors on every machine; the
 // prediction readout only promises ~1e-12 agreement with the scalar path,
 // which FMA/width differences comfortably satisfy.
 //

@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include "common/check.h"
-
 namespace amf::common {
 
 std::uint64_t SplitMix64(std::uint64_t& state) {
@@ -34,11 +32,6 @@ double Rng::Uniform() {
 double Rng::Uniform(double lo, double hi) {
   AMF_DCHECK(lo <= hi);
   return std::uniform_real_distribution<double>(lo, hi)(engine_);
-}
-
-std::size_t Rng::Index(std::size_t n) {
-  AMF_CHECK_MSG(n > 0, "Rng::Index requires n > 0");
-  return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
 }
 
 std::int64_t Rng::Int(std::int64_t lo, std::int64_t hi) {

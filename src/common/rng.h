@@ -10,6 +10,8 @@
 #include <random>
 #include <vector>
 
+#include "common/check.h"
+
 namespace amf::common {
 
 /// splitmix64 step: maps a 64-bit state to a well-mixed 64-bit output.
@@ -28,8 +30,32 @@ class Rng {
   double Uniform();
   /// Uniform double in [lo, hi).
   double Uniform(double lo, double hi);
-  /// Uniform integer in [0, n). Requires n > 0.
-  std::size_t Index(std::size_t n);
+  /// Uniform integer in [0, n). Requires n > 0. The draw is the one
+  /// libstdc++'s uniform_int_distribution<std::size_t>(0, n - 1) makes
+  /// from a 64-bit engine (Lemire's nearly-divisionless method, redraws
+  /// included), so sequences match the standard distribution exactly.
+  std::size_t Index(std::size_t n) { return IndexFrom(engine_(), n); }
+
+  /// Index's mapping applied to an engine output drawn earlier
+  /// (`raw` = engine()()). Redraws for a rejected `raw` come from this
+  /// engine, so drawing ahead and mapping later consumes the same engine
+  /// outputs, in the same order, as calling Index(n) at the later point —
+  /// provided nothing else draws from the engine in between.
+  std::size_t IndexFrom(std::uint64_t raw, std::size_t n) {
+    AMF_CHECK_MSG(n > 0, "Rng::Index requires n > 0");
+    static_assert(sizeof(std::size_t) == sizeof(std::uint64_t));
+    using Wide = unsigned __int128;
+    Wide product = Wide{raw} * n;
+    auto low = static_cast<std::uint64_t>(product);
+    if (low < n) {
+      const std::uint64_t threshold = -static_cast<std::uint64_t>(n) % n;
+      while (low < threshold) {
+        product = Wide{engine_()} * n;
+        low = static_cast<std::uint64_t>(product);
+      }
+    }
+    return static_cast<std::size_t>(product >> 64);
+  }
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t Int(std::int64_t lo, std::int64_t hi);
   /// Standard normal draw.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/bf16.h"
 #include "common/check.h"
@@ -38,6 +39,17 @@ double RowOrderDot(std::span<const double> a, const double* b,
   return acc;
 }
 
+/// One lane store of an update: the seqlock protocol's relaxed atomic
+/// store when the update publishes, a plain (vectorizable) one otherwise.
+template <bool kPublish>
+inline void StoreLane(double& slot, double value) {
+  if constexpr (kPublish) {
+    common::SeqlockStore(slot, value);
+  } else {
+    slot = value;
+  }
+}
+
 /// Blocks that keep failing validation (a writer storm on these rows)
 /// degrade to the per-row protocol after this many whole-block retries.
 [[maybe_unused]] constexpr int kMaxBlockTries = 3;
@@ -63,15 +75,9 @@ AmfModel::AmfModel(const AmfModel& other)
       user_replica_(other.user_replica_),
       service_replica_(other.service_replica_),
       user_dirty_(other.user_dirty_),
-      service_dirty_(other.service_dirty_),
-      updates_(other.updates()),
-      nan_reinit_users_(other.nan_reinit_users()),
-      nan_reinit_services_(other.nan_reinit_services()),
-      replica_rows_refreshed_(other.replica_rows_refreshed()),
-      replica_refreshes_(other.replica_refreshes()),
-      replica_full_refreshes_(other.replica_full_refreshes()),
-      replica_synced_updates_(
-          other.replica_synced_updates_.load(std::memory_order_relaxed)) {}
+      service_dirty_(other.service_dirty_) {
+  CopyCounters(other);
+}
 
 AmfModel& AmfModel::operator=(const AmfModel& other) {
   if (this == &other) return *this;
@@ -84,20 +90,7 @@ AmfModel& AmfModel::operator=(const AmfModel& other) {
   service_replica_ = other.service_replica_;
   user_dirty_ = other.user_dirty_;
   service_dirty_ = other.service_dirty_;
-  updates_.store(other.updates(), std::memory_order_relaxed);
-  nan_reinit_users_.store(other.nan_reinit_users(),
-                          std::memory_order_relaxed);
-  nan_reinit_services_.store(other.nan_reinit_services(),
-                             std::memory_order_relaxed);
-  replica_rows_refreshed_.store(other.replica_rows_refreshed(),
-                                std::memory_order_relaxed);
-  replica_refreshes_.store(other.replica_refreshes(),
-                           std::memory_order_relaxed);
-  replica_full_refreshes_.store(other.replica_full_refreshes(),
-                                std::memory_order_relaxed);
-  replica_synced_updates_.store(
-      other.replica_synced_updates_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  CopyCounters(other);
   return *this;
 }
 
@@ -110,15 +103,9 @@ AmfModel::AmfModel(AmfModel&& other) noexcept
       user_replica_(std::move(other.user_replica_)),
       service_replica_(std::move(other.service_replica_)),
       user_dirty_(std::move(other.user_dirty_)),
-      service_dirty_(std::move(other.service_dirty_)),
-      updates_(other.updates()),
-      nan_reinit_users_(other.nan_reinit_users()),
-      nan_reinit_services_(other.nan_reinit_services()),
-      replica_rows_refreshed_(other.replica_rows_refreshed()),
-      replica_refreshes_(other.replica_refreshes()),
-      replica_full_refreshes_(other.replica_full_refreshes()),
-      replica_synced_updates_(
-          other.replica_synced_updates_.load(std::memory_order_relaxed)) {}
+      service_dirty_(std::move(other.service_dirty_)) {
+  CopyCounters(other);
+}
 
 AmfModel& AmfModel::operator=(AmfModel&& other) noexcept {
   if (this == &other) return *this;
@@ -131,21 +118,22 @@ AmfModel& AmfModel::operator=(AmfModel&& other) noexcept {
   service_replica_ = std::move(other.service_replica_);
   user_dirty_ = std::move(other.user_dirty_);
   service_dirty_ = std::move(other.service_dirty_);
-  updates_.store(other.updates(), std::memory_order_relaxed);
-  nan_reinit_users_.store(other.nan_reinit_users(),
-                          std::memory_order_relaxed);
-  nan_reinit_services_.store(other.nan_reinit_services(),
-                             std::memory_order_relaxed);
-  replica_rows_refreshed_.store(other.replica_rows_refreshed(),
-                                std::memory_order_relaxed);
-  replica_refreshes_.store(other.replica_refreshes(),
-                           std::memory_order_relaxed);
-  replica_full_refreshes_.store(other.replica_full_refreshes(),
-                                std::memory_order_relaxed);
-  replica_synced_updates_.store(
-      other.replica_synced_updates_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  CopyCounters(other);
   return *this;
+}
+
+void AmfModel::CopyCounters(const AmfModel& other) noexcept {
+  const auto copy = [](std::atomic<std::uint64_t>& dst,
+                       const std::atomic<std::uint64_t>& src) {
+    dst.store(src.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  };
+  copy(updates_, other.updates_);
+  copy(nan_reinit_users_, other.nan_reinit_users_);
+  copy(nan_reinit_services_, other.nan_reinit_services_);
+  copy(replica_rows_refreshed_, other.replica_rows_refreshed_);
+  copy(replica_refreshes_, other.replica_refreshes_);
+  copy(replica_full_refreshes_, other.replica_full_refreshes_);
+  copy(replica_synced_updates_, other.replica_synced_updates_);
 }
 
 void AmfModel::Grow(FactorArena& arena, ReplicaArena& replica,
@@ -185,18 +173,7 @@ void AmfModel::EnsureService(data::ServiceId s) {
 
 void AmfModel::RetireUser(data::UserId u) {
   AMF_CHECK_MSG(HasUser(u), "RetireUser: unknown user " << u);
-  const std::size_t d = config_.rank;
-  const std::span<double> row = user_.row_span(u);
-  // Stage the cold-start row outside the seqlock bracket, then publish:
-  // readers either see the old tenant's row or the fresh one, never a mix.
-  std::vector<double> fresh(d);
-  FillDeterministicRow(u, fresh);
-  common::SeqlockBeginWrite(user_.version(u));
-  for (std::size_t k = 0; k < d; ++k) {
-    common::SeqlockStore(row[k], fresh[k]);
-  }
-  common::RelaxedStore(user_.error(u), config_.initial_error);
-  common::SeqlockEndWrite(user_.version(u));
+  const std::vector<double> fresh = ResetRow(user_, u);
   // The replica is re-initialized in the same publish step, not left for
   // the next barrier: a recycled slot must never serve the old tenant's
   // compressed row to replica readers while the master already holds the
@@ -206,16 +183,7 @@ void AmfModel::RetireUser(data::UserId u) {
 
 void AmfModel::RetireService(data::ServiceId s) {
   AMF_CHECK_MSG(HasService(s), "RetireService: unknown service " << s);
-  const std::size_t d = config_.rank;
-  const std::span<double> row = service_.row_span(s);
-  std::vector<double> fresh(d);
-  FillDeterministicRow(s, fresh);
-  common::SeqlockBeginWrite(service_.version(s));
-  for (std::size_t k = 0; k < d; ++k) {
-    common::SeqlockStore(row[k], fresh[k]);
-  }
-  common::RelaxedStore(service_.error(s), config_.initial_error);
-  common::SeqlockEndWrite(service_.version(s));
+  const std::vector<double> fresh = ResetRow(service_, s);
   if (service_replica_.enabled()) service_replica_.PublishRow(s, fresh);
 }
 
@@ -231,29 +199,41 @@ void AmfModel::OverwriteServiceRow(data::ServiceId s,
   AMF_CHECK_MSG(row.size() == config_.rank,
                 "OverwriteServiceRow: row size " << row.size() << " != rank "
                                                  << config_.rank);
-  const std::span<double> dst = service_.row_span(s);
-  common::SeqlockBeginWrite(service_.version(s));
-  for (std::size_t k = 0; k < row.size(); ++k) {
-    common::SeqlockStore(dst[k], row[k]);
-  }
-  common::RelaxedStore(service_.error(s), error);
-  common::SeqlockEndWrite(service_.version(s));
+  WriteRow(service_, s, row, error);
   if (service_replica_.enabled()) service_replica_.PublishRow(s, row);
 }
 
-bool AmfModel::RepairNonFinite(std::span<double> v, double& error,
-                               std::uint64_t entity_id) {
-  bool poisoned = false;
-  for (const double x : v) {
-    if (!std::isfinite(x)) {
-      poisoned = true;
-      break;
-    }
+void AmfModel::WriteRow(FactorArena& arena, std::size_t i,
+                        std::span<const double> row, double error) {
+  const std::span<double> dst = arena.row_span(i);
+  common::SeqlockBeginWrite(arena.version(i));
+  for (std::size_t k = 0; k < row.size(); ++k) {
+    common::SeqlockStore(dst[k], row[k]);
   }
-  if (!poisoned) return false;
-  FillDeterministicRow(entity_id, v);
-  error = config_.initial_error;
-  return true;
+  common::RelaxedStore(arena.error(i), error);
+  common::SeqlockEndWrite(arena.version(i));
+}
+
+std::vector<double> AmfModel::ResetRow(FactorArena& arena, std::size_t i) {
+  std::vector<double> fresh(config_.rank);
+  FillDeterministicRow(i, fresh);
+  WriteRow(arena, i, fresh, config_.initial_error);
+  return fresh;
+}
+
+void AmfModel::RepairNonFinite(FactorArena& arena, std::size_t i,
+                               std::atomic<std::uint64_t>& counter,
+                               DirtyRowSet& dirty) {
+  const std::span<const double> row = std::as_const(arena).row_span(i);
+  if (std::all_of(row.begin(), row.end(),
+                  [](double x) { return std::isfinite(x); })) {
+    return;
+  }
+  ResetRow(arena, i);
+  counter.fetch_add(1, std::memory_order_relaxed);
+  // The repair may be the only mutation this update performs (the sample
+  // can still be refused), so mark here, not just at the final publish.
+  if (replicas_enabled()) dirty.Mark(i);
 }
 
 void AmfModel::FillDeterministicRow(std::uint64_t entity_id,
@@ -270,154 +250,69 @@ void AmfModel::FillDeterministicRow(std::uint64_t entity_id,
 
 double AmfModel::OnlineUpdate(data::UserId u, data::ServiceId s,
                               double raw_value) {
-  // Hard ingestion guard: a non-finite observation must never reach the
-  // transform (BoxCox domain) or the loss. Leave the model untouched.
-  if (!std::isfinite(raw_value)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-
-  EnsureUser(u);
-  EnsureService(s);
-
-  const std::span<double> ui = user_.row_span(u);
-  const std::span<double> sj = service_.row_span(s);
-
-  // NaN-poisoning detector: a corrupted latent vector (from a bad
-  // checkpoint, a torn write, or any earlier bug) would otherwise turn
-  // every future update on this entity into NaN and spread through the
-  // shared factors during replay. Drop and re-initialize it instead.
-  if (RepairNonFinite(ui, user_.error(u), u)) {
-    nan_reinit_users_.fetch_add(1, std::memory_order_relaxed);
-    MarkUserDirty(u);
-  }
-  if (RepairNonFinite(sj, service_.error(s), s)) {
-    nan_reinit_services_.fetch_add(1, std::memory_order_relaxed);
-    MarkServiceDirty(s);
-  }
-
-  // Data transformation (Eqs. 3-4); r is floored away from 0.
-  const double r = transform_.Forward(raw_value);
-  // Loss guard: e_us and the gradient divide by r; skip the sample rather
-  // than divide when the transform left it at (or below) zero.
-  if (!std::isfinite(r) ||
-      (config_.loss_epsilon > 0.0 && std::abs(r) < config_.loss_epsilon)) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  updates_.fetch_add(1, std::memory_order_relaxed);
-
-  const double x = linalg::Dot(ui, sj);
-  const double g = transform::Sigmoid(x);
-  const double gp = g * (1.0 - g);
-
-  // Relative error of this sample (Eq. 15).
-  const double e_us = std::abs(r - g) / r;
-
-  // Adaptive weights (Eq. 12) from the *current* entity errors.
-  double wu = 0.5;
-  double ws = 0.5;
-  if (config_.adaptive_weights) {
-    const double eu = user_.error(u);
-    const double es = service_.error(s);
-    const double sum = eu + es;
-    if (sum > 0.0) {
-      wu = eu / sum;
-      ws = es / sum;
-    }
-  }
-
-  // EMA updates of the entity errors (Eqs. 13-14).
-  user_.error(u) += config_.beta * wu * (e_us - user_.error(u));
-  service_.error(s) += config_.beta * ws * (e_us - service_.error(s));
-
-  // Weighted SGD step (Eqs. 16-17), simultaneous in U_u and S_s.
-  double common_coef = (g - r) * gp / (r * r);
-  if (config_.gradient_clip > 0.0) {
-    common_coef = std::clamp(common_coef, -config_.gradient_clip,
-                             config_.gradient_clip);
-  }
-  const double eta = config_.learn_rate;
-  const double cu = eta * wu;
-  const double cs = eta * ws;
-  linalg::SgdPairStep(ui, sj, common_coef, cu, cs, config_.lambda_user,
-                      config_.lambda_service);
-  // Replica bookkeeping: both masters mutated; their compressed copies go
-  // stale until the next epoch-barrier refresh.
-  MarkUserDirty(u);
-  MarkServiceDirty(s);
-  return e_us;
+  const double e = UpdateKernel<false>(u, s, transform_.Target(raw_value));
+  if (!std::isnan(e)) CountUpdates(1);
+  return e;
 }
 
 double AmfModel::OnlineUpdateGuarded(data::UserId u, data::ServiceId s,
                                      double raw_value) {
-  // Same guards and math as OnlineUpdate; only the publication differs.
-  if (!std::isfinite(raw_value)) {
-    return std::numeric_limits<double>::quiet_NaN();
+  const double e = UpdateKernel<true>(u, s, transform_.Target(raw_value));
+  if (!std::isnan(e)) CountUpdates(1);
+  return e;
+}
+
+double AmfModel::OnlineUpdateTarget(data::UserId u, data::ServiceId s,
+                                    double r, bool guarded) {
+  return guarded ? UpdateKernel<true>(u, s, r) : UpdateKernel<false>(u, s, r);
+}
+
+template <bool kGuarded>
+double AmfModel::UpdateKernel(data::UserId u, data::ServiceId s, double r) {
+  constexpr double kRefused = std::numeric_limits<double>::quiet_NaN();
+  // Hard ingestion guard: a NaN target stands for a non-finite raw value
+  // (Target maps every finite one to a finite r). Leave the model untouched.
+  if (!std::isfinite(r)) return kRefused;
+  if constexpr (kGuarded) {
+    // Growth would reallocate storage under concurrent readers; entities
+    // must be registered up front (the concurrent service pre-registers
+    // under its exclusive lock before any sample reaches the trainer).
+    AMF_DCHECK(HasUser(u) && HasService(s));
+  } else {
+    EnsureUser(u);
+    EnsureService(s);
   }
-  // Growth would reallocate storage under concurrent readers; entities
-  // must be registered up front (the concurrent service pre-registers
-  // under its exclusive lock before any sample reaches the trainer).
-  AMF_DCHECK(HasUser(u) && HasService(s));
 
-  const std::size_t d = config_.rank;
-  const std::span<double> ui = user_.row_span(u);
-  const std::span<double> sj = service_.row_span(s);
-
-  // Thread-local so concurrent shard workers never share scratch; the
-  // resize is a no-op after the first call per thread.
-  thread_local std::vector<double> new_u, new_s;
-  new_u.resize(d);
-  new_s.resize(d);
-
-  // NaN-poisoning repair, published through the seqlock (the serial
-  // in-place repair would hand readers a torn row).
-  const auto repair_guarded =
-      [&](std::span<double> row, double& err, common::SeqlockVersion& ver,
-          std::uint64_t id, std::vector<double>& scratch,
-          std::atomic<std::uint64_t>& counter, DirtyRowSet& dirty) {
-        bool poisoned = false;
-        for (const double x : row) {
-          if (!std::isfinite(x)) {
-            poisoned = true;
-            break;
-          }
-        }
-        if (!poisoned) return;
-        FillDeterministicRow(id, scratch);
-        common::SeqlockBeginWrite(ver);
-        for (std::size_t k = 0; k < d; ++k) {
-          common::SeqlockStore(row[k], scratch[k]);
-        }
-        common::RelaxedStore(err, config_.initial_error);
-        common::SeqlockEndWrite(ver);
-        counter.fetch_add(1, std::memory_order_relaxed);
-        // The repair may be the only mutation this call performs (the
-        // sample can still be refused below), so mark here, not just at
-        // the final publish.
-        if (replicas_enabled()) dirty.Mark(id);
-      };
-  repair_guarded(ui, user_.error(u), user_.version(u), u, new_u,
-                 nan_reinit_users_, user_dirty_);
-  repair_guarded(sj, service_.error(s), service_.version(s), s, new_s,
-                 nan_reinit_services_, service_dirty_);
-
-  const double r = transform_.Forward(raw_value);
-  if (!std::isfinite(r) ||
-      (config_.loss_epsilon > 0.0 && std::abs(r) < config_.loss_epsilon)) {
-    return std::numeric_limits<double>::quiet_NaN();
+  double x = linalg::Dot(user_.row_span(u), service_.row_span(s));
+  if (!std::isfinite(x)) {
+    // NaN-poisoning detector: a corrupted latent vector (from a bad
+    // checkpoint, a torn write, or any earlier bug) would otherwise turn
+    // every future update on this entity into NaN and spread through the
+    // shared factors during replay. Re-initialize it instead. A
+    // non-finite entry in either row always makes the dot non-finite, so
+    // a finite dot proves both rows clean and the row scans run only here.
+    RepairNonFinite(user_, u, nan_reinit_users_, user_dirty_);
+    RepairNonFinite(service_, s, nan_reinit_services_, service_dirty_);
+    x = linalg::Dot(user_.row_span(u), service_.row_span(s));
   }
-  updates_.fetch_add(1, std::memory_order_relaxed);
 
-  // Plain reads are sound here: the caller holds writer exclusion for both
-  // rows, and concurrent readers only load.
-  const double x = linalg::Dot(ui, sj);
+  // Loss guard: e_us and the gradient divide by r; skip the sample rather
+  // than divide when the transform left it at (or below) zero.
+  if (config_.loss_epsilon > 0.0 && std::abs(r) < config_.loss_epsilon) {
+    return kRefused;
+  }
+
   const double g = transform::Sigmoid(x);
   const double gp = g * (1.0 - g);
+  // Relative error of this sample (Eq. 15).
   const double e_us = std::abs(r - g) / r;
 
-  double wu = 0.5;
-  double ws = 0.5;
+  // Adaptive weights (Eq. 12) from the *current* entity errors. Plain
+  // reads are sound: the caller holds writer exclusion for both rows.
   const double eu = user_.error(u);
   const double es = service_.error(s);
+  double wu = 0.5;
+  double ws = 0.5;
   if (config_.adaptive_weights) {
     const double sum = eu + es;
     if (sum > 0.0) {
@@ -425,35 +320,43 @@ double AmfModel::OnlineUpdateGuarded(data::UserId u, data::ServiceId s,
       ws = es / sum;
     }
   }
-  const double new_eu = eu + config_.beta * wu * (e_us - eu);
-  const double new_es = es + config_.beta * ws * (e_us - es);
 
-  double common_coef = (g - r) * gp / (r * r);
+  // Weighted SGD step (Eqs. 16-17), simultaneous in U_u and S_s: lane k of
+  // both rows is computed from the old lane-k values, so both rows update
+  // in place in one pass.
+  double coef = (g - r) * gp / (r * r);
   if (config_.gradient_clip > 0.0) {
-    common_coef = std::clamp(common_coef, -config_.gradient_clip,
-                             config_.gradient_clip);
+    coef = std::clamp(coef, -config_.gradient_clip, config_.gradient_clip);
   }
   const double cu = config_.learn_rate * wu;
   const double cs = config_.learn_rate * ws;
+  const double lu = config_.lambda_user;
+  const double ls = config_.lambda_service;
+  // __restrict holds: only these two pointers touch the rows from here on.
+  const std::size_t d = config_.rank;
+  double* __restrict const ui = user_.row(u);
+  double* __restrict const sj = service_.row(s);
+  // Guarded: both rows and their error EMAs (Eqs. 13-14) are written
+  // inside the rows' seqlock brackets; the publish dirties each row's
+  // factor line(s) plus its private meta line, never a neighbor's.
+  if constexpr (kGuarded) {
+    common::SeqlockBeginWrite(user_.version(u));
+    common::SeqlockBeginWrite(service_.version(s));
+  }
   for (std::size_t k = 0; k < d; ++k) {
     const double uk = ui[k];
     const double sk = sj[k];
-    new_u[k] = uk - cu * (common_coef * sk + config_.lambda_user * uk);
-    new_s[k] = sk - cs * (common_coef * uk + config_.lambda_service * sk);
+    StoreLane<kGuarded>(ui[k], uk - cu * (coef * sk + lu * uk));
+    StoreLane<kGuarded>(sj[k], sk - cs * (coef * uk + ls * sk));
   }
-
-  // The publish dirties exactly three lines per row family at rank <= 8
-  // (row line(s) + its private meta line) — never a neighboring row's.
-  common::SeqlockBeginWrite(user_.version(u));
-  for (std::size_t k = 0; k < d; ++k) common::SeqlockStore(ui[k], new_u[k]);
-  common::RelaxedStore(user_.error(u), new_eu);
-  common::SeqlockEndWrite(user_.version(u));
-
-  common::SeqlockBeginWrite(service_.version(s));
-  for (std::size_t k = 0; k < d; ++k) common::SeqlockStore(sj[k], new_s[k]);
-  common::RelaxedStore(service_.error(s), new_es);
-  common::SeqlockEndWrite(service_.version(s));
-
+  StoreLane<kGuarded>(user_.error(u), eu + config_.beta * wu * (e_us - eu));
+  StoreLane<kGuarded>(service_.error(s), es + config_.beta * ws * (e_us - es));
+  if constexpr (kGuarded) {
+    common::SeqlockEndWrite(service_.version(s));
+    common::SeqlockEndWrite(user_.version(u));
+  }
+  // Replica bookkeeping: both masters mutated; their compressed copies go
+  // stale until the next epoch-barrier refresh.
   MarkUserDirty(u);
   MarkServiceDirty(s);
   return e_us;
@@ -771,21 +674,6 @@ void AmfModel::PredictRowRawShared(data::UserId u,
   transform_.InverseRow(out);
 }
 
-double AmfModel::UserErrorShared(data::UserId u) const {
-  AMF_CHECK(HasUser(u));
-  return common::RelaxedLoad(user_.error(u));
-}
-
-double AmfModel::ServiceErrorShared(data::ServiceId s) const {
-  AMF_CHECK(HasService(s));
-  return common::RelaxedLoad(service_.error(s));
-}
-
-double AmfModel::PredictionUncertaintyShared(data::UserId u,
-                                             data::ServiceId s) const {
-  return 0.5 * (UserErrorShared(u) + ServiceErrorShared(s));
-}
-
 double AmfModel::PredictRaw(data::UserId u, data::ServiceId s) const {
   return transform_.Inverse(PredictNormalized(u, s));
 }
@@ -837,27 +725,15 @@ void AmfModel::PredictManyRaw(data::UserId u,
   transform_.InverseRow(out);
 }
 
-void AmfModel::PredictMatrixImpl(linalg::Matrix* out,
-                                 common::ThreadPool* pool, bool raw) const {
+void AmfModel::PredictMatrixRaw(linalg::Matrix* out,
+                                common::ThreadPool* pool) const {
   AMF_CHECK(out != nullptr);
   out->Resize(num_users(), num_services());
   if (num_users() == 0 || num_services() == 0) return;
   common::ThreadPool& tp = pool ? *pool : common::ThreadPool::Global();
   tp.ParallelFor(0, num_users(), [&](std::size_t u) {
-    const std::span<double> row = out->row(u);
-    PredictRowNormalized(static_cast<data::UserId>(u), row);
-    if (raw) transform_.InverseRow(row);
+    PredictRowRaw(static_cast<data::UserId>(u), out->row(u));
   });
-}
-
-void AmfModel::PredictMatrixNormalized(linalg::Matrix* out,
-                                       common::ThreadPool* pool) const {
-  PredictMatrixImpl(out, pool, /*raw=*/false);
-}
-
-void AmfModel::PredictMatrixRaw(linalg::Matrix* out,
-                                common::ThreadPool* pool) const {
-  PredictMatrixImpl(out, pool, /*raw=*/true);
 }
 
 double AmfModel::UserError(data::UserId u) const {

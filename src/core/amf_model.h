@@ -120,6 +120,23 @@ class AmfModel {
   /// service (see core::OnlineTrainer's striped service locks).
   double OnlineUpdate(data::UserId u, data::ServiceId s, double raw_value);
 
+  /// The kernel behind OnlineUpdate (guarded = false) and
+  /// OnlineUpdateGuarded (true), taking the target r = transform().Target
+  /// (raw) the trainer caches per stored sample. Same guards, math, return
+  /// value and contract, but updates() does not advance: the caller adds
+  /// applied updates in bulk through CountUpdates at its barrier.
+  double OnlineUpdateTarget(data::UserId u, data::ServiceId s, double r,
+                            bool guarded);
+  void CountUpdates(std::uint64_t n) {
+    updates_.fetch_add(n, std::memory_order_relaxed);
+  }
+
+  /// Cache hint for an upcoming update of (u, s); ignores unknown ids.
+  void PrefetchRows(data::UserId u, data::ServiceId s) const {
+    if (HasUser(u)) user_.Prefetch(u);
+    if (HasService(s)) service_.Prefetch(s);
+  }
+
   /// Predicted raw QoS value (inverse-transformed sigmoid inner product).
   /// Both entities must be registered.
   double PredictRaw(data::UserId u, data::ServiceId s) const;
@@ -155,8 +172,6 @@ class AmfModel {
   /// Scores every (user, service) pair into `out` (resized to num_users()
   /// x num_services()), fanning rows across `pool` (nullptr = the
   /// process-global pool). No OnlineUpdate may run concurrently.
-  void PredictMatrixNormalized(linalg::Matrix* out,
-                               common::ThreadPool* pool = nullptr) const;
   void PredictMatrixRaw(linalg::Matrix* out,
                         common::ThreadPool* pool = nullptr) const;
 
@@ -175,8 +190,8 @@ class AmfModel {
   // exactly that path.
 
   /// OnlineUpdate that publishes its row writes via the per-row seqlock
-  /// (same math, same return value; row stores go through relaxed
-  /// atomic_ref inside a version bracket instead of the SIMD pair-step).
+  /// (same math, same return value; both rows are written in place
+  /// through relaxed atomic_ref stores inside their version brackets).
   /// Both entities MUST already be registered (AMF_DCHECK; growth here
   /// would race readers), and the caller must hold per-user and
   /// per-service writer exclusion.
@@ -273,12 +288,6 @@ class AmfModel {
                               : service_.stride() * sizeof(double);
   }
 
-  /// Entity-error reads safe against concurrent guarded writers (relaxed
-  /// atomic loads; 64-bit loads never tear).
-  double UserErrorShared(data::UserId u) const;
-  double ServiceErrorShared(data::ServiceId s) const;
-  double PredictionUncertaintyShared(data::UserId u, data::ServiceId s) const;
-
   /// Running average error of one entity (Eq. 13/14 state).
   double UserError(data::UserId u) const;
   double ServiceError(data::ServiceId s) const;
@@ -299,7 +308,9 @@ class AmfModel {
   void SetUserError(data::UserId u, double e);
   void SetServiceError(data::ServiceId s, double e);
 
-  /// Total online updates performed so far.
+  /// Total online updates performed so far. Updates applied through
+  /// OnlineUpdateTarget count once their caller reports them (the trainer
+  /// does so at every barrier), so mid-epoch reads lag by up to an epoch.
   std::uint64_t updates() const {
     return updates_.load(std::memory_order_relaxed);
   }
@@ -328,14 +339,27 @@ class AmfModel {
   /// constructor, SetReadPrecision, and RefreshAllReplicas).
   std::size_t RebuildReplicas();
 
-  void PredictMatrixImpl(linalg::Matrix* out, common::ThreadPool* pool,
-                         bool raw) const;
+  /// Copies the relaxed counters (the copy/move members' shared tail).
+  void CopyCounters(const AmfModel& other) noexcept;
 
-  /// If `v` contains any non-finite entry, re-randomizes it (deterministic
-  /// in (config.seed, entity id), racing-update safe: no shared RNG state)
-  /// and resets `error` to initial_error. Returns true if repaired.
-  bool RepairNonFinite(std::span<double> v, double& error,
-                       std::uint64_t entity_id);
+  /// The one Eq. 12-17 update body; kGuarded selects the seqlock publish.
+  template <bool kGuarded>
+  double UpdateKernel(data::UserId u, data::ServiceId s, double r);
+
+  /// If row i of `arena` has a non-finite entry: ResetRow, count the
+  /// repair in `counter`, mark the row dirty.
+  void RepairNonFinite(FactorArena& arena, std::size_t i,
+                       std::atomic<std::uint64_t>& counter,
+                       DirtyRowSet& dirty);
+
+  /// Writes the deterministic cold-start row (FillDeterministicRow) and
+  /// initial_error into row i; returns the row written.
+  std::vector<double> ResetRow(FactorArena& arena, std::size_t i);
+
+  /// Writes `row` and `error` into row i inside one seqlock bracket, so
+  /// *Shared readers see the old row or the new one, never a mix.
+  void WriteRow(FactorArena& arena, std::size_t i,
+                std::span<const double> row, double error);
 
   /// The deterministic replacement row RepairNonFinite writes.
   void FillDeterministicRow(std::uint64_t entity_id,
@@ -386,7 +410,7 @@ class AmfModel {
   ReplicaArena service_replica_;
   DirtyRowSet user_dirty_;
   DirtyRowSet service_dirty_;
-  // Atomic so concurrent striped-lock updates may share the counter.
+  // Atomic so concurrent callers may share the counter.
   std::atomic<std::uint64_t> updates_{0};
   std::atomic<std::uint64_t> nan_reinit_users_{0};
   std::atomic<std::uint64_t> nan_reinit_services_{0};

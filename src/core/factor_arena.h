@@ -80,6 +80,15 @@ class FactorArena {
   double& error(std::size_t i) { return meta_[i].error; }
   const double& error(std::size_t i) const { return meta_[i].error; }
 
+  /// Cache hint (for writing) on row i's factor lines and its meta line.
+  void Prefetch(std::size_t i) const {
+    const double* r = row(i);
+    for (std::size_t k = 0; k < rank_; k += kDoublesPerLine) {
+      __builtin_prefetch(r + k, 1);
+    }
+    __builtin_prefetch(&meta_[i], 1);
+  }
+
   /// Base of the blocked factor slab (row 0; 64-byte aligned). The block
   /// spans size() * stride() doubles — pass stride() to the strided GEMV.
   const double* data() const { return factors_.data(); }

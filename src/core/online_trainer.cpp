@@ -16,6 +16,8 @@ OnlineTrainer::OnlineTrainer(AmfModel& model, const TrainerConfig& config)
     : model_(model),
       config_(config),
       rng_(config.seed),
+      next_raw_(rng_.engine()()),
+      store_(&model.transform()),
       validator_(config.validator) {
   AMF_CHECK_MSG(config_.convergence_tol > 0.0,
                 "convergence_tol must be positive");
@@ -127,9 +129,10 @@ std::size_t OnlineTrainer::ProcessIncoming() {
       continue;
     }
     // Algorithm 1 lines 4-9: I_ij <- 1, register new entities (done inside
-    // OnlineUpdate), refresh (t_ij, R_ij), update online.
+    // the update), refresh (t_ij, R_ij), update online.
     store_.Upsert(sample);
-    const double e = ApplyUpdate(sample);
+    const double e =
+        ApplyUpdate(sample, store_.TargetOf(sample.user, sample.service));
     if (std::isnan(e)) {
       // The model refused the sample (degenerate transform); don't keep it
       // around for replay to refuse again.
@@ -141,7 +144,10 @@ std::size_t OnlineTrainer::ProcessIncoming() {
     updates_applied_.fetch_add(1, std::memory_order_relaxed);
     ++processed;
   }
-  if (processed > 0) converged_ = false;
+  if (processed > 0) {
+    converged_ = false;
+    model_.CountUpdates(processed);
+  }
   // Ingest is a barrier point too (the caller's thread, no replay in
   // flight): publish the compressed replicas of every row this drain
   // touched — including repairs on samples that were then refused, which
@@ -154,7 +160,10 @@ std::optional<double> OnlineTrainer::ReplayOneCounted(std::uint64_t& applied,
                                                       std::uint64_t& expired,
                                                       std::uint64_t& skipped) {
   if (store_.empty()) return std::nullopt;
-  const data::QoSSample sample = store_.PickRandom(rng_);
+  const std::size_t pick = rng_.IndexFrom(next_raw_, store_.size());
+  const data::QoSSample sample = store_.samples()[pick];
+  const double r = store_.target(pick);
+  DrawAheadAndPrefetch();
   if (config_.expiry_seconds > 0.0 &&
       now_ - sample.timestamp >= config_.expiry_seconds) {
     // Algorithm 1 line 15: the sample is obsolete, set I_ij <- 0.
@@ -162,7 +171,7 @@ std::optional<double> OnlineTrainer::ReplayOneCounted(std::uint64_t& applied,
     ++expired;
     return std::nullopt;
   }
-  const double e = ApplyUpdate(sample);
+  const double e = ApplyUpdate(sample, r);
   if (std::isnan(e)) {
     // Hard model-side guard tripped; drop the sample so the epoch loop
     // cannot spin on it.
@@ -174,10 +183,28 @@ std::optional<double> OnlineTrainer::ReplayOneCounted(std::uint64_t& applied,
   return e;
 }
 
+void OnlineTrainer::DrawAheadAndPrefetch() {
+  // The next pick's engine output is drawn now and mapped when used, with
+  // the store size current then (this update may still remove a sample).
+  // Nothing else draws from rng_, so the engine-output sequence and the
+  // pick order are exactly those of drawing at pick time. The hint below
+  // maps with today's size and skips Lemire's rare redraw: a wrong guess
+  // only wastes a prefetch.
+  next_raw_ = rng_.engine()();
+  const auto hint = static_cast<std::size_t>(
+      (static_cast<unsigned __int128>(next_raw_) * store_.size()) >> 64);
+  store_.Prefetch(hint);
+  const data::QoSSample& next = store_.samples()[hint];
+  model_.PrefetchRows(next.user, next.service);
+}
+
 void OnlineTrainer::FlushReplayCounters(std::uint64_t applied,
                                         std::uint64_t expired,
                                         std::uint64_t skipped) {
-  if (applied > 0) updates_applied_.fetch_add(applied, std::memory_order_relaxed);
+  if (applied > 0) {
+    updates_applied_.fetch_add(applied, std::memory_order_relaxed);
+    model_.CountUpdates(applied);
+  }
   if (expired > 0) expired_.fetch_add(expired, std::memory_order_relaxed);
   if (skipped > 0) skipped_updates_.fetch_add(skipped, std::memory_order_relaxed);
 }
@@ -286,7 +313,8 @@ std::optional<double> OnlineTrainer::ReplayEpochParallel() {
       {
         std::lock_guard<common::Spinlock> guard(
             service_locks_->ForIndex(s.service));
-        e = model_.OnlineUpdateGuarded(s.user, s.service, s.value);
+        e = model_.OnlineUpdateTarget(s.user, s.service, store_.target(idx),
+                                      /*guarded=*/true);
       }
       if (std::isnan(e)) {
         out.remove.emplace_back(s.user, s.service);
@@ -309,6 +337,7 @@ std::optional<double> OnlineTrainer::ReplayEpochParallel() {
     applied += out.applied;
   }
   updates_applied_.fetch_add(applied, std::memory_order_relaxed);
+  model_.CountUpdates(applied);
   // Epoch barrier (the ParallelFor join ordered every shard's dirty marks
   // before this point): dirty-row replica refresh on the trainer thread,
   // while no hogwild writer is in flight.
@@ -317,17 +346,16 @@ std::optional<double> OnlineTrainer::ReplayEpochParallel() {
   return err_sum / static_cast<double>(applied);
 }
 
-double OnlineTrainer::ApplyUpdate(const data::QoSSample& sample) {
+double OnlineTrainer::ApplyUpdate(const data::QoSSample& sample, double r) {
   if (config_.guarded_updates) {
     // No-op for already-registered entities. Callers with concurrent
     // readers must pre-register (growth reallocates under the readers);
     // see ConcurrentPredictionService's drain path.
     model_.EnsureUser(sample.user);
     model_.EnsureService(sample.service);
-    return model_.OnlineUpdateGuarded(sample.user, sample.service,
-                                      sample.value);
   }
-  return model_.OnlineUpdate(sample.user, sample.service, sample.value);
+  return model_.OnlineUpdateTarget(sample.user, sample.service, r,
+                                   config_.guarded_updates);
 }
 
 std::size_t OnlineTrainer::RunUntilConverged() {

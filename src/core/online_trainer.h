@@ -212,9 +212,15 @@ class OnlineTrainer {
   void FlushReplayCounters(std::uint64_t applied, std::uint64_t expired,
                            std::uint64_t skipped);
 
-  /// Applies one incoming/replayed sample through the configured update
-  /// path (guarded or plain); registers entities first when growing.
-  double ApplyUpdate(const data::QoSSample& sample);
+  /// Applies one incoming/replayed sample with its stored target r through
+  /// the configured update path (guarded or plain); registers entities
+  /// first when growing. The caller counts applied updates into the model.
+  double ApplyUpdate(const data::QoSSample& sample, double r);
+
+  /// Draws the following replay pick's engine output into next_raw_ and
+  /// prefetches that pick's sample, target and factor rows, so they load
+  /// while the current update computes.
+  void DrawAheadAndPrefetch();
 
   /// Registers trainer.* / pipeline.* metrics with config_.metrics.
   void RegisterMetrics();
@@ -222,6 +228,8 @@ class OnlineTrainer {
   AmfModel& model_;
   TrainerConfig config_;
   common::Rng rng_;
+  // Engine output of the next replay pick, always drawn one pick ahead.
+  std::uint64_t next_raw_;
   SampleStore store_;
   SampleValidator validator_;
   std::deque<data::QoSSample> incoming_;

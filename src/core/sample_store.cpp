@@ -1,16 +1,23 @@
 #include "core/sample_store.h"
 
+#include <limits>
+
 #include "common/check.h"
 
 namespace amf::core {
 
 bool SampleStore::Upsert(const data::QoSSample& sample) {
   const std::uint64_t key = Key(sample.user, sample.service);
+  const double target = transform_ != nullptr
+                            ? transform_->Target(sample.value)
+                            : std::numeric_limits<double>::quiet_NaN();
   auto [it, inserted] = index_.try_emplace(key, samples_.size());
   if (inserted) {
     samples_.push_back(sample);
+    targets_.push_back(target);
   } else {
     samples_[it->second] = sample;
+    targets_[it->second] = target;
   }
   return inserted;
 }
@@ -23,9 +30,11 @@ bool SampleStore::Remove(data::UserId u, data::ServiceId s) {
   const std::size_t last = samples_.size() - 1;
   if (pos != last) {
     samples_[pos] = samples_[last];
+    targets_[pos] = targets_[last];
     index_[Key(samples_[pos].user, samples_[pos].service)] = pos;
   }
   samples_.pop_back();
+  targets_.pop_back();
   return true;
 }
 
@@ -34,6 +43,12 @@ std::optional<data::QoSSample> SampleStore::Get(data::UserId u,
   const auto it = index_.find(Key(u, s));
   if (it == index_.end()) return std::nullopt;
   return samples_[it->second];
+}
+
+double SampleStore::TargetOf(data::UserId u, data::ServiceId s) const {
+  const auto it = index_.find(Key(u, s));
+  if (it == index_.end()) return std::numeric_limits<double>::quiet_NaN();
+  return targets_[it->second];
 }
 
 bool SampleStore::Contains(data::UserId u, data::ServiceId s) const {
@@ -91,6 +106,7 @@ std::size_t SampleStore::RemoveService(data::ServiceId s) {
 
 void SampleStore::Clear() {
   samples_.clear();
+  targets_.clear();
   index_.clear();
 }
 

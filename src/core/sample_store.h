@@ -3,6 +3,9 @@
 // timestamp. Supports O(1) random pick (for replay), O(1) upsert, and
 // O(1) removal (expiration sets I_ij back to 0), via the classic
 // vector + swap-remove + index-map layout.
+//
+// A store bound to a QoSTransform also keeps each sample's training target
+// r (Eqs. 3-4), computed once per upsert, so replay never recomputes it.
 #pragma once
 
 #include <cstdint>
@@ -12,11 +15,19 @@
 
 #include "common/rng.h"
 #include "data/qos_types.h"
+#include "transform/qos_transform.h"
 
 namespace amf::core {
 
 class SampleStore {
  public:
+  /// `transform` (optional; must outlive the store) computes the targets
+  /// at upsert time, so an owner that changes its parameters (a checkpoint
+  /// restore swapping the model) must refill the store. Without a
+  /// transform every target reads NaN.
+  explicit SampleStore(const transform::QoSTransform* transform = nullptr)
+      : transform_(transform) {}
+
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }
 
@@ -38,6 +49,19 @@ class SampleStore {
   /// All stored samples (unspecified order).
   const std::vector<data::QoSSample>& samples() const { return samples_; }
 
+  /// Training target of samples()[i]: QoSTransform::Target of its value
+  /// (NaN for a non-finite value, or when the store has no transform).
+  double target(std::size_t i) const { return targets_[i]; }
+
+  /// Target of the sample for (u, s); NaN when the pair is not stored.
+  double TargetOf(data::UserId u, data::ServiceId s) const;
+
+  /// Cache hint for slot i's sample and target (i < size()).
+  void Prefetch(std::size_t i) const {
+    __builtin_prefetch(&samples_[i]);
+    __builtin_prefetch(&targets_[i]);
+  }
+
   /// Removes every sample older than `cutoff` (timestamp < cutoff).
   /// Returns the number expired. O(n).
   std::size_t ExpireOlderThan(double cutoff);
@@ -57,7 +81,9 @@ class SampleStore {
     return (static_cast<std::uint64_t>(u) << 32) | s;
   }
 
+  const transform::QoSTransform* transform_;
   std::vector<data::QoSSample> samples_;
+  std::vector<double> targets_;  // parallel to samples_
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };
 

@@ -5,24 +5,10 @@
 #include "linalg/vector_ops.h"
 
 // GemvRowMajor is defined in gemv.cpp, which is compiled with relaxed
-// FP-reduction flags; this TU keeps strict IEEE evaluation order because
-// SgdPairStep must replay bit-identically for a fixed seed.
+// FP-reduction flags; this TU keeps strict IEEE evaluation order for the
+// mixed-precision oracles.
 
 namespace amf::linalg {
-
-void SgdPairStep(std::span<double> u, std::span<double> s, double coef,
-                 double cu, double cs, double lambda_u, double lambda_s) {
-  AMF_DCHECK(u.size() == s.size());
-  double* __restrict up = u.data();
-  double* __restrict sp = s.data();
-  const std::size_t d = u.size();
-  for (std::size_t k = 0; k < d; ++k) {
-    const double uk = up[k];
-    const double sk = sp[k];
-    up[k] = uk - cu * (coef * sk + lambda_u * uk);
-    sp[k] = sk - cs * (coef * uk + lambda_s * sk);
-  }
-}
 
 namespace reference {
 
@@ -34,17 +20,6 @@ void GemvRowMajor(std::span<const double> x, std::span<const double> block,
     double acc = 0.0;
     for (std::size_t k = 0; k < d; ++k) acc += x[k] * block[i * d + k];
     out[i] = acc;
-  }
-}
-
-void SgdPairStep(std::span<double> u, std::span<double> s, double coef,
-                 double cu, double cs, double lambda_u, double lambda_s) {
-  AMF_DCHECK(u.size() == s.size());
-  for (std::size_t k = 0; k < u.size(); ++k) {
-    const double uk = u[k];
-    const double sk = s[k];
-    u[k] = uk - cu * (coef * sk + lambda_u * uk);
-    s[k] = sk - cs * (coef * uk + lambda_s * sk);
   }
 }
 

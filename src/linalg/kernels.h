@@ -50,15 +50,6 @@ void GemvRowMajorStridedBf16(std::span<const double> x,
                              const std::uint16_t* block, std::size_t stride,
                              std::span<double> out);
 
-/// Fused simultaneous SGD pair step (paper Eqs. 16-17):
-///   u[k] <- u[k] - cu * (coef * s[k] + lambda_u * u[k])
-///   s[k] <- s[k] - cs * (coef * u[k] + lambda_s * s[k])
-/// with both updates computed from the *old* values (the hand-rolled loop
-/// this replaces lived in AmfModel::OnlineUpdate). The arithmetic order is
-/// kept bit-identical to that loop so fixed-seed traces are unchanged.
-void SgdPairStep(std::span<double> u, std::span<double> s, double coef,
-                 double cu, double cs, double lambda_u, double lambda_s);
-
 namespace reference {
 
 /// Scalar one-row-at-a-time GEMV oracle.
@@ -72,10 +63,6 @@ void GemvRowMajorStridedFp32(std::span<const double> x, const float* block,
 void GemvRowMajorStridedBf16(std::span<const double> x,
                              const std::uint16_t* block, std::size_t stride,
                              std::span<double> out);
-
-/// Scalar SGD pair-step oracle (the pre-refactor OnlineUpdate loop).
-void SgdPairStep(std::span<double> u, std::span<double> s, double coef,
-                 double cu, double cs, double lambda_u, double lambda_s);
 
 }  // namespace reference
 

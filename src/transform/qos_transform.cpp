@@ -10,16 +10,6 @@
 
 namespace amf::transform {
 
-double Sigmoid(double x) {
-  // Split on sign to avoid overflow in exp().
-  if (x >= 0.0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
-}
-
 double SigmoidDerivative(double x) {
   const double g = Sigmoid(x);
   return g * (1.0 - g);

@@ -13,6 +13,8 @@
 // the normalized value r away from 0 in the relative-error loss.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <span>
 
 #include "transform/boxcox.h"
@@ -20,8 +22,16 @@
 
 namespace amf::transform {
 
-/// Numerically safe sigmoid.
-double Sigmoid(double x);
+/// Numerically safe sigmoid. Inline: it sits on every replay update.
+inline double Sigmoid(double x) {
+  // Split on sign to avoid overflow in exp().
+  if (x >= 0.0) {
+    const double z = std::exp(-x);
+    return 1.0 / (1.0 + z);
+  }
+  const double z = std::exp(x);
+  return z / (1.0 + z);
+}
 
 /// Sigmoid derivative g'(x) = g(x) (1 - g(x)).
 double SigmoidDerivative(double x);
@@ -66,6 +76,14 @@ class QoSTransform {
 
   /// raw -> normalized r in [0, 1] (floored at `value_floor`).
   double Forward(double raw) const;
+
+  /// Training target of a raw observation: Forward(raw) when raw is
+  /// finite, else NaN. Forward is total (garbage maps to the floor); the
+  /// NaN lets the model refuse such a sample before touching any state.
+  double Target(double raw) const {
+    return std::isfinite(raw) ? Forward(raw)
+                              : std::numeric_limits<double>::quiet_NaN();
+  }
 
   /// normalized -> raw (exact inverse of Forward up to the clamps).
   double Inverse(double normalized) const;

@@ -44,8 +44,7 @@ TEST(ApproachesTest, FactoriesProduceCorrectlyNamedPredictors) {
 TEST(ApproachesTest, ExtendedApproachesFitAndPredict) {
   const linalg::Matrix slice = testutil::SmallRtSlice(25, 60);
   const data::TrainTestSplit split = testutil::Split(slice, 0.3);
-  for (const std::string& name :
-       {"NIMF", "AMF(a=1)", "AMF(fixed-w)"}) {
+  for (const char* name : {"NIMF", "AMF(a=1)", "AMF(fixed-w)"}) {
     const auto factory =
         MakeFactory(name, data::QoSAttribute::kResponseTime);
     auto predictor = factory(7);

@@ -132,29 +132,6 @@ TEST(BatchPredictTest, GrowthPreservesExistingFactors) {
 
 // --- Kernel oracles --------------------------------------------------------
 
-TEST(KernelTest, SgdPairStepBitIdenticalToReference) {
-  common::Rng rng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t d = 1 + rng.Index(40);
-    std::vector<double> u(d), s(d);
-    for (std::size_t k = 0; k < d; ++k) {
-      u[k] = rng.Uniform(-2.0, 2.0);
-      s[k] = rng.Uniform(-2.0, 2.0);
-    }
-    std::vector<double> u_ref = u, s_ref = s;
-    const double coef = rng.Uniform(-1.0, 1.0);
-    const double cu = rng.Uniform(0.0, 0.9);
-    const double cs = rng.Uniform(0.0, 0.9);
-    linalg::SgdPairStep(u, s, coef, cu, cs, 0.001, 0.001);
-    linalg::reference::SgdPairStep(u_ref, s_ref, coef, cu, cs, 0.001, 0.001);
-    for (std::size_t k = 0; k < d; ++k) {
-      // Bit-exact: the fused kernel must replay the pre-refactor loop.
-      EXPECT_EQ(u[k], u_ref[k]) << "trial " << trial << " k " << k;
-      EXPECT_EQ(s[k], s_ref[k]) << "trial " << trial << " k " << k;
-    }
-  }
-}
-
 TEST(KernelTest, GemvMatchesReference) {
   common::Rng rng(9);
   for (const std::size_t rows : {0u, 1u, 3u, 4u, 7u, 64u, 101u}) {

@@ -36,10 +36,10 @@ TEST(ConcurrentServiceTest, ConcurrentReadersAndWriters) {
   ConcurrentPredictionService service;
   const std::size_t kUsers = 8, kServices = 16;
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
 
   std::atomic<bool> stop{false};
@@ -107,10 +107,10 @@ TEST(ConcurrentServiceTest, PipelineStatsWaitFreeDuringTraining) {
   ConcurrentPredictionService service(cfg);
   const std::size_t kUsers = 16, kServices = 64;
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   for (std::size_t i = 0; i < 2000; ++i) {
     service.ReportObservation({0, static_cast<data::UserId>(i % kUsers),

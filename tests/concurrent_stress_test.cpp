@@ -34,10 +34,10 @@ void RunStress(std::size_t replay_threads) {
   ConcurrentPredictionService service(StressConfig(replay_threads), 1024);
   constexpr std::size_t kUsers = 12, kServices = 24;
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
 
   std::atomic<bool> stop{false};
@@ -129,8 +129,10 @@ TEST(ConcurrentStressTest, RegistrationChurnUnderLoad) {
 
   std::thread registrar([&] {
     for (int i = 1; i <= 200; ++i) {
-      const auto u = service.RegisterUser("u" + std::to_string(i));
-      const auto s = service.RegisterService("s" + std::to_string(i));
+      const auto u =
+          service.RegisterUser(std::string("u").append(std::to_string(i)));
+      const auto s =
+          service.RegisterService(std::string("s").append(std::to_string(i)));
       max_user.store(u, std::memory_order_relaxed);
       max_service.store(s, std::memory_order_relaxed);
     }
@@ -185,10 +187,10 @@ TEST(ConcurrentStressTest, JoinRetireChurnRacesPredictions) {
   ConcurrentPredictionService service(StressConfig(2), 1024);
   constexpr std::size_t kBaseUsers = 6, kBaseServices = 12;
   for (std::size_t u = 0; u < kBaseUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kBaseServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
 
   std::atomic<bool> stop{false};
@@ -356,10 +358,10 @@ TEST(ConcurrentStressTest, ReplicaRefreshRacesMatrixScans) {
   ConcurrentPredictionService service(StressConfig(2), 1024);
   constexpr std::size_t kUsers = 8, kServices = 96;
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service.RegisterUser("u" + std::to_string(u));
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   service.SetReadPrecision(core::ReadPrecision::kBf16);
 

@@ -335,10 +335,10 @@ TEST(FaultInjectionIntegrationTest, SurvivesCorruptionAndCrashRestore) {
         std::make_unique<adapt::QoSPredictionService>(ServiceConfig());
     svc->EnableCheckpoints(ckpt);
     for (std::size_t u = 0; u < synth.users; ++u) {
-      svc->RegisterUser("u" + std::to_string(u));
+      svc->RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (std::size_t s = 0; s < synth.services; ++s) {
-      svc->RegisterService("s" + std::to_string(s));
+      svc->RegisterService(std::string("s").append(std::to_string(s)));
     }
     return svc;
   };

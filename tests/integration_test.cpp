@@ -191,10 +191,10 @@ TEST(IntegrationTest, AdaptationWithAmfBeatsNoAdaptation) {
     env.AddOutage({0, 2 * 900.0, 9 * 900.0});
     adapt::QoSPredictionService service;
     for (int u = 0; u < 6; ++u) {
-      service.RegisterUser("u" + std::to_string(u));
+      service.RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (int s = 0; s < 12; ++s) {
-      service.RegisterService("s" + std::to_string(s));
+      service.RegisterService(std::string("s").append(std::to_string(s)));
     }
     adapt::NoAdaptationPolicy none;
     adapt::PredictedBestPolicy predicted(service);

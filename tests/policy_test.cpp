@@ -112,9 +112,11 @@ TEST(OraclePolicyTest, SkipsDownCandidates) {
 TEST(PredictedBestPolicyTest, FollowsServicePredictions) {
   const auto dataset = MakeDataset();
   QoSPredictionService service;
-  for (int u = 0; u < 4; ++u) service.RegisterUser("u" + std::to_string(u));
+  for (int u = 0; u < 4; ++u) {
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
+  }
   for (int s = 0; s < 6; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   // Teach the model strongly that service 2 is fast for user 0 and the
   // others are slow.
@@ -140,7 +142,7 @@ TEST(PredictedBestPolicyTest, RiskAversionFollowsUncertaintyPenalty) {
   QoSPredictionService service;
   service.RegisterUser("u");
   for (int s = 0; s < 3; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   for (int i = 0; i < 300; ++i) {
     service.ReportObservation({0, 0, 2, 1.0, 0.0});

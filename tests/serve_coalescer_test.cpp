@@ -31,10 +31,10 @@ std::unique_ptr<adapt::ConcurrentPredictionService> MakeTrainedService() {
   auto service =
       std::make_unique<adapt::ConcurrentPredictionService>(cfg, 4096);
   for (std::size_t u = 0; u < kUsers; ++u) {
-    service->RegisterUser("u" + std::to_string(u));
+    service->RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t s = 0; s < kServices; ++s) {
-    service->RegisterService("s" + std::to_string(s));
+    service->RegisterService(std::string("s").append(std::to_string(s)));
   }
   common::Rng rng(77);
   double now = 0.0;

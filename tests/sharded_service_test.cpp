@@ -50,10 +50,10 @@ ShardedServiceConfig Cfg(std::size_t shards,
 
 void RegisterPopulation(ShardedPredictionService& s) {
   for (std::size_t u = 0; u < kUsers; ++u) {
-    s.RegisterUser("u" + std::to_string(u));
+    s.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t v = 0; v < kServices; ++v) {
-    s.RegisterService("s" + std::to_string(v));
+    s.RegisterService(std::string("s").append(std::to_string(v)));
   }
 }
 
@@ -89,11 +89,11 @@ void FeedAndTick(ShardedPredictionService& s,
 TEST(ShardedServiceTest, RegistrationAssignsGlobalIdsInLockstep) {
   ShardedPredictionService svc(Cfg(4));
   for (std::size_t u = 0; u < kUsers; ++u) {
-    EXPECT_EQ(svc.RegisterUser("u" + std::to_string(u)),
+    EXPECT_EQ(svc.RegisterUser(std::string("u").append(std::to_string(u))),
               static_cast<data::UserId>(u));
   }
   for (std::size_t v = 0; v < kServices; ++v) {
-    EXPECT_EQ(svc.RegisterService("s" + std::to_string(v)),
+    EXPECT_EQ(svc.RegisterService(std::string("s").append(std::to_string(v))),
               static_cast<data::ServiceId>(v));
   }
   // The AMF_CHECK inside the fan-out would have thrown on any shard

@@ -55,9 +55,11 @@ TEST(SimulationTest, PredictionServiceCollectsAllObservations) {
   const auto dataset = MakeDataset();
   Environment env(dataset, 900.0);
   QoSPredictionService service;
-  for (int u = 0; u < 2; ++u) service.RegisterUser("u" + std::to_string(u));
+  for (int u = 0; u < 2; ++u) {
+    service.RegisterUser(std::string("u").append(std::to_string(u)));
+  }
   for (int s = 0; s < 9; ++s) {
-    service.RegisterService("s" + std::to_string(s));
+    service.RegisterService(std::string("s").append(std::to_string(s)));
   }
   NoAdaptationPolicy policy;
   SimulationConfig cfg;

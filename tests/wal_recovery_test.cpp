@@ -52,10 +52,10 @@ stream::JournalConfig WalConfig(const std::string& dir) {
 void RegisterPopulation(QoSPredictionService& s, std::size_t users,
                         std::size_t services) {
   for (std::size_t u = 0; u < users; ++u) {
-    s.RegisterUser("u" + std::to_string(u));
+    s.RegisterUser(std::string("u").append(std::to_string(u)));
   }
   for (std::size_t v = 0; v < services; ++v) {
-    s.RegisterService("s" + std::to_string(v));
+    s.RegisterService(std::string("s").append(std::to_string(v)));
   }
 }
 
@@ -215,12 +215,14 @@ TEST(WalRecoveryTest, ConcurrentFacadeRecoverMatchesControlPredictions) {
   constexpr std::size_t kUsers = 4, kServices = 6;
   std::vector<data::QoSSample> phase1, phase2;
   for (std::uint32_t i = 0; i < 24; ++i) {
-    phase1.push_back({0, i % kUsers, i % kServices,
+    phase1.push_back({0, static_cast<data::UserId>(i % kUsers),
+                      static_cast<data::ServiceId>(i % kServices),
                       0.3 + 0.01 * static_cast<double>(i),
                       static_cast<double>(i + 1)});
   }
   for (std::uint32_t i = 24; i < 36; ++i) {
-    phase2.push_back({0, i % kUsers, i % kServices,
+    phase2.push_back({0, static_cast<data::UserId>(i % kUsers),
+                      static_cast<data::ServiceId>(i % kServices),
                       0.3 + 0.01 * static_cast<double>(i),
                       static_cast<double>(i + 1)});
   }
@@ -229,10 +231,10 @@ TEST(WalRecoveryTest, ConcurrentFacadeRecoverMatchesControlPredictions) {
   {
     ConcurrentPredictionService a(DeterministicConfig());
     for (std::size_t u = 0; u < kUsers; ++u) {
-      a.RegisterUser("u" + std::to_string(u));
+      a.RegisterUser(std::string("u").append(std::to_string(u)));
     }
     for (std::size_t s = 0; s < kServices; ++s) {
-      a.RegisterService("s" + std::to_string(s));
+      a.RegisterService(std::string("s").append(std::to_string(s)));
     }
     a.EnableCheckpoints(CkptConfig(ck));
     a.EnableJournal(WalConfig(wal));
